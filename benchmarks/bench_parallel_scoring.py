@@ -72,9 +72,8 @@ def _build_dataset(smoke: bool):
     if smoke:
         config = dataclasses.replace(GOOGLE_PLUS_CONFIG, num_egos=8)
     else:
-        # Same corpus scale as bench_engine_scoring's full mode: ~350
-        # circles on ~13k vertices, enough work per shard to amortize
-        # process dispatch.
+        # ~350 circles on ~13k vertices: enough work per shard to
+        # amortize process dispatch.
         config = dataclasses.replace(GOOGLE_PLUS_CONFIG, num_egos=100)
     return build_google_plus(config=config)
 

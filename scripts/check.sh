@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command correctness gate: custom lint pass (parallel, baseline-aware,
 # with a machine-readable SARIF artifact), seed-determinism check on the
-# fast pipelines, engine-vs-legacy identity smoke, observability overhead
-# smoke (with a sample trace artifact), then the tier-1 test suite.
+# fast pipelines, parallel/out-of-core/service/columnar scoring smokes,
+# observability overhead smoke (with a sample trace artifact), then the
+# tier-1 test suite.
 # Exits non-zero on the first failure so it can gate PRs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,9 +26,6 @@ python benchmarks/bench_lint.py --tier3 --repeat 2
 
 echo "== determinism check (fast pipelines) =="
 python -m repro.devtools.determinism --fast
-
-echo "== engine scoring smoke (bit-identity vs legacy) =="
-python benchmarks/bench_engine_scoring.py --smoke
 
 echo "== parallel scoring smoke (Fig. 5 serial vs --jobs 2, CSV byte diff) =="
 python benchmarks/bench_parallel_scoring.py --smoke --jobs 2 \

@@ -603,7 +603,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         code = inner.handler(inner)
     finally:
         obs.disable()
-    _write_trace(tracer, args.trace_out, args.trace_format)
+    # The inner command's own --trace-out names the file when given.
+    trace_out = getattr(inner, "trace_out", None) or args.trace_out
+    _write_trace(tracer, trace_out, args.trace_format)
     return code
 
 
@@ -904,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.set_defaults(handler=_cmd_trace)
 
     lint_parser = commands.add_parser(
-        "lint", help="repo-specific AST lint pass (rules REP001-REP503)"
+        "lint", help="repo-specific AST lint pass (rules REP001-REP607)"
     )
     lint_parser.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories"

@@ -109,10 +109,12 @@ class GroupSet:
 
     groups: list[VertexGroup] = field(default_factory=list)
     name: str = ""
+    #: names of :attr:`groups`, so :meth:`add` checks uniqueness in O(1)
+    _names: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [group.name for group in self.groups]
-        if len(set(names)) != len(names):
+        self._names = {group.name for group in self.groups}
+        if len(self._names) != len(self.groups):
             raise ValueError(f"group set {self.name!r} has duplicate group names")
 
     def __len__(self) -> int:
@@ -126,8 +128,9 @@ class GroupSet:
 
     def add(self, group: VertexGroup) -> None:
         """Append ``group``, enforcing name uniqueness."""
-        if any(existing.name == group.name for existing in self.groups):
+        if group.name in self._names:
             raise ValueError(f"duplicate group name {group.name!r}")
+        self._names.add(group.name)
         self.groups.append(group)
 
     def sizes(self) -> list[int]:

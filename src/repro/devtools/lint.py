@@ -642,6 +642,9 @@ ALL_RULES: tuple[type[Rule], ...] = (
 
 _KNOWN_RULE_IDS = frozenset(rule.id for rule in ALL_RULES)
 
+#: First and last registered rule ids, for help and error text.
+_RULE_ID_RANGE = f"{min(_KNOWN_RULE_IDS)}-{max(_KNOWN_RULE_IDS)}"
+
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -773,7 +776,7 @@ def _check_noqa_ids(lines: Sequence[str], path: str) -> list[Violation]:
                         rule_id="REP000",
                         message=(
                             f"unknown rule id '{rule_id}' in noqa comment; "
-                            "known ids: REP001..REP606 (see --list-rules)"
+                            f"known ids: {_RULE_ID_RANGE} (see --list-rules)"
                         ),
                         path=path,
                         line=lineno,
@@ -1015,7 +1018,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro.devtools.lint``."""
     parser = argparse.ArgumentParser(
         prog="repro.devtools.lint",
-        description="Repo-specific AST lint pass (rules REP001-REP606)",
+        description=f"Repo-specific AST lint pass (rules {_RULE_ID_RANGE})",
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or dirs")
     parser.add_argument(

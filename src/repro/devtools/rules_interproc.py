@@ -992,12 +992,12 @@ class ScalarScoringLoop(ProgramRule):
     columnar stages behind the serial path, the parallel workers and the
     service micro-batcher.  A nested
     ``function(stats) for function in functions / for stats in
-    batch_group_stats(...)`` loop inside :mod:`repro.engine` or
-    :mod:`repro.service` reintroduces the per-(group, function)
-    interpreter dispatch the columnar pipeline exists to remove — it is
-    both the historical copy-paste twin (the executor worker and the
-    micro-batcher once each carried one) and a 3×+ slowdown at 10⁴
-    groups (``benchmarks/bench_columnar_scoring.py``).  The sanctioned
+    batch_group_stats_columns(...).rows()`` loop inside
+    :mod:`repro.engine` or :mod:`repro.service` reintroduces the
+    per-(group, function) interpreter dispatch the columnar pipeline
+    exists to remove — it is both the historical copy-paste twin (the
+    executor worker and the micro-batcher once each carried one) and a
+    3×+ slowdown at 10⁴ groups (``benchmarks/bench_columnar_scoring.py``).  The sanctioned
     scalar fallback lives in :mod:`repro.scoring.columnar`
     (``scalar_score_column``), outside this rule's scope.
     """
@@ -1005,7 +1005,7 @@ class ScalarScoringLoop(ProgramRule):
     id = "REP607"
     summary = "per-group scalar scoring loop on an engine/service hot path"
     example_bad = (
-        "stats_list = batch_group_stats(context, member_lists)\n"
+        "stats_list = batch_group_stats_columns(context, member_lists).rows()\n"
         "rows = [\n"
         "    [float(function(stats)) for function in functions]\n"
         "    for stats in stats_list\n"
@@ -1071,7 +1071,7 @@ class ScalarScoringLoop(ProgramRule):
 
     @classmethod
     def _stats_list_names(cls, info: FunctionInfo) -> frozenset[str]:
-        """Names bound to ``batch_group_stats(...)`` results."""
+        """Names bound to per-group stats results (see ``_is_stats_producer``)."""
         names: set[str] = set()
         for stmt in _iter_own_statements(list(info.node.body)):
             if not isinstance(stmt, ast.Assign):

@@ -16,8 +16,8 @@ consumer shares:
 The contract is **freeze once, read forever**: a context never observes
 later mutations of the source graph.  Construct it after the graph is
 final, then hand the *context* (not the graph) to
-:func:`repro.engine.batch_group_stats`, the CSR-native samplers and the
-experiment drivers.
+:func:`repro.engine.batch_group_stats_columns`, the CSR-native samplers
+and the experiment drivers.
 """
 
 from __future__ import annotations

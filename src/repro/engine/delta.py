@@ -17,12 +17,13 @@ changes on big graphs:
   names of exactly those groups whose statistics can differ — groups
   containing an endpoint of a changed edge, plus groups whose membership
   the delta edits.  The batch kernels consume only this set.
-* :func:`rescore_groups` recomputes :class:`GroupStats` for dirty groups
-  via one :func:`~repro.engine.batch.batch_group_stats` pass and patches
-  the global fields (``m``, ``graph_median_degree``) of every clean
-  group's previous stats via :func:`dataclasses.replace` — zero kernel
-  invocations for clean groups, byte-identical output to a full
-  re-freeze (pinned by ``tests/engine/test_delta.py``).
+* :func:`rescore_groups_columns` recomputes the statistics columns of
+  dirty groups via one
+  :func:`~repro.engine.batch.batch_group_stats_columns` pass and copies
+  every clean group's column slices from the previous batch, taking the
+  graph-level scalars (``m``, the median degree) from the patched
+  context — zero kernel invocations for clean groups, byte-identical
+  output to a full re-freeze (pinned by ``tests/engine/test_delta.py``).
 
 Cache coherence falls out of content addressing: a patched context has a
 new CSR fingerprint, so every :class:`~repro.engine.cache.ResultCache`
@@ -38,24 +39,23 @@ freeze instead), and self-loops are rejected.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Hashable, Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.groups import GroupSet, VertexGroup, _group_fields
 from repro.devtools.contracts import bounded_memory
-from repro.engine.batch import batch_group_stats, batch_group_stats_columns
+from repro.engine.batch import batch_group_stats_columns
 from repro.engine.context import AnalysisContext
 from repro.exceptions import GraphError, NodeNotFound
 from repro.graph.csr import CSRGraph
 from repro.obs import instruments
-from repro.scoring.base import GroupStats
 from repro.scoring.columnar import GroupStatsBatch
 
 Node = Hashable
 
-__all__ = ["ContextDelta", "rescore_groups", "rescore_groups_columns"]
+__all__ = ["ContextDelta", "rescore_groups_columns"]
 
 Edge = tuple[Node, Node]
 Membership = tuple[str, Node]
@@ -410,56 +410,6 @@ def _replace_rows(
     return new_indptr, new_indices
 
 
-def rescore_groups(
-    context: AnalysisContext,
-    groups: GroupSet | Sequence[VertexGroup],
-    previous: Mapping[str, GroupStats],
-    dirty: frozenset[str] | set[str],
-    *,
-    graph_median_degree: float | None = None,
-    include_internal_adjacency: bool = False,
-) -> dict[str, GroupStats]:
-    """Recompute stats for ``dirty`` groups only, patching the rest.
-
-    ``previous`` maps group names to the stats computed on the
-    pre-delta context; clean groups get those stats back with the
-    global fields (``m``, ``graph_median_degree``) replaced — no batch
-    kernel touches them (observable on the ``engine.groups_scored``
-    counter).  Groups missing from ``previous`` are treated as dirty.
-    The result is byte-identical to a full :func:`batch_group_stats`
-    pass over the patched context.
-    """
-    group_list = list(groups)
-    to_compute = [
-        group
-        for group in group_list
-        if group.name in dirty or group.name not in previous
-    ]
-    fresh: dict[str, GroupStats] = {}
-    if to_compute:
-        stats_list = batch_group_stats(
-            context,
-            [list(group.members) for group in to_compute],
-            graph_median_degree=graph_median_degree,
-            include_internal_adjacency=include_internal_adjacency,
-        )
-        fresh = {
-            group.name: stats
-            for group, stats in zip(to_compute, stats_list)
-        }
-    result: dict[str, GroupStats] = {}
-    for group in group_list:
-        if group.name in fresh:
-            result[group.name] = fresh[group.name]
-        else:
-            result[group.name] = replace(
-                previous[group.name],
-                m=context.num_edges,
-                graph_median_degree=graph_median_degree,
-            )
-    return result
-
-
 def rescore_groups_columns(
     context: AnalysisContext,
     groups: GroupSet | Sequence[VertexGroup],
@@ -470,7 +420,7 @@ def rescore_groups_columns(
     graph_median_degree: float | None = None,
     include_internal_adjacency: bool = False,
 ) -> GroupStatsBatch:
-    """Columnar :func:`rescore_groups`: recompute dirty groups, splice the rest.
+    """Recompute the ``dirty`` groups' statistics, splice in the rest.
 
     ``previous`` is the :class:`~repro.scoring.columnar.GroupStatsBatch`
     computed on the pre-delta context, with ``previous_names[i]`` naming

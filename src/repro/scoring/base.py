@@ -19,11 +19,12 @@ functions can be evaluated without revisiting the graph.  Batch evaluation
 over many groups therefore costs one adjacency sweep per group, not one per
 (group, function) pair.
 
-:func:`compute_group_stats` is the legacy per-group dict sweep and the
+:func:`compute_group_stats` is the per-group dict sweep and the
 reproduction's correctness oracle; the production batch path is
-:func:`repro.engine.batch_group_stats`, which computes bit-identical
-statistics for all groups from one frozen
-:class:`~repro.engine.AnalysisContext`.  A :class:`GroupStats` is a pure
+:func:`repro.engine.batch_group_stats_columns`, which computes
+bit-identical statistics for all groups from one frozen
+:class:`~repro.engine.AnalysisContext` as columns
+(``GroupStatsBatch.row(i)`` rebuilds one group's :class:`GroupStats`).  A :class:`GroupStats` is a pure
 value object — it carries no reference to the graph it was measured on,
 so holding thousands of them does not pin the substrate in memory and
 never reads mutated state.
@@ -135,9 +136,9 @@ def compute_group_stats(
     the paper: ``m_C`` counts each directed internal edge once, ``c_C``
     counts boundary edges of either direction, ``d(v) = d_in + d_out``.
 
-    This is the legacy per-group dict sweep, kept as the engine's
-    correctness oracle; batch workloads should go through
-    :func:`repro.engine.batch_group_stats` instead.
+    This is the per-group dict sweep, kept as the engine's correctness
+    oracle; batch workloads should go through
+    :func:`repro.engine.batch_group_stats_columns` instead.
     ``include_internal_adjacency=False`` skips materializing the induced
     internal adjacency (only TPR consumes it).
     """

@@ -154,8 +154,9 @@ class GroupStatsBatch:
         """Reconstruct group ``i`` as a lazy :class:`GroupStats` view.
 
         The per-member arrays are slices of the batch's flat arrays (no
-        copy); the result is indistinguishable from the object the
-        legacy :func:`repro.engine.batch_group_stats` assembly builds.
+        copy); the result is bit-identical to what
+        :func:`repro.scoring.base.compute_group_stats` returns for the
+        same members.
         """
         lo = int(self.group_offsets[i])
         hi = int(self.group_offsets[i + 1])

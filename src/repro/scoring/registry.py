@@ -6,6 +6,9 @@ Yang–Leskovec taxonomy); :data:`PAPER_FUNCTIONS` builds exactly those.
 one frozen :class:`~repro.engine.AnalysisContext` — the graph is frozen
 exactly once per run (or not at all if the caller passes a context), and
 all group statistics come from the engine's vectorized batch pass.
+:func:`score_member_lists` is the one dispatcher every scorer goes
+through, and :func:`stats_requirements` the one place that reads what a
+function list needs from that pass.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import numpy as np
 
 from repro import obs
 from repro.data.groups import GroupSet, VertexGroup
-from repro.engine import AnalysisContext, batch_group_stats
+from repro.engine import AnalysisContext
 from repro.engine.cache import ResultCache, function_tokens
 from repro.engine.parallel import ParallelExecutor, resolve_jobs
 from repro.obs import capture_manifest, instruments
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
-from repro.scoring.base import GroupStats, ScoringFunction, compute_group_stats
+from repro.scoring.base import ScoringFunction
 from repro.scoring.columnar import score_stats_columns
 from repro.scoring.combined import (
     AverageOutDegreeFraction,
@@ -53,6 +56,8 @@ __all__ = [
     "ScoreTable",
     "score_group",
     "score_groups",
+    "score_member_lists",
+    "stats_requirements",
 ]
 
 #: The four functions of the paper's evaluation (section V), in paper order.
@@ -152,40 +157,87 @@ class ScoreTable:
         return result
 
 
-def _needs(functions: Sequence[ScoringFunction], kind: type) -> bool:
-    return any(isinstance(function, kind) for function in functions)
+def stats_requirements(
+    functions: Sequence[ScoringFunction], context: AnalysisContext
+) -> tuple[float | None, bool]:
+    """What a batch pass must compute for ``functions`` beyond the counts.
+
+    Returns ``(graph_median_degree, include_internal_adjacency)``: the
+    context's median degree when FOMD is among the functions (else
+    ``None``), and whether TPR is, which reads the internal adjacency
+    rows.  Both feed the statistics pass and the result-cache keys.
+    """
+    median = (
+        context.median_degree
+        if any(isinstance(f, FractionOverMedianDegree) for f in functions)
+        else None
+    )
+    include_adjacency = any(
+        isinstance(f, TriangleParticipationRatio) for f in functions
+    )
+    return median, include_adjacency
+
+
+def score_member_lists(
+    context: AnalysisContext,
+    member_lists: Sequence[Iterable[Node]],
+    functions: Sequence[ScoringFunction],
+    id_lists: Sequence[np.ndarray] | None = None,
+    executor: ParallelExecutor | None = None,
+) -> tuple[list[int], np.ndarray]:
+    """Score member lists into per-group sizes and a ``(G, F)`` matrix.
+
+    The one place that turns member lists into scores.  An active
+    ``executor`` over a non-empty batch of tokenizable functions gets
+    *vertex ids* (``id_lists``, resolved here when not given) and scores
+    across its worker pool; otherwise the labels go through the serial
+    columnar pass (:func:`~repro.scoring.columnar.score_stats_columns`).
+    Both routes end in the same ``score_matrix`` stage, so the result is
+    byte-identical either way — which keeps ``--jobs N``, the service
+    and single-group scoring in agreement with the serial CLI output.
+    Column ``j`` holds ``functions[j]``'s scores.
+    """
+    median, include_adjacency = stats_requirements(functions, context)
+    if (
+        executor is not None
+        and executor.active
+        and member_lists
+        and function_tokens(functions) is not None
+    ):
+        if id_lists is None:
+            id_lists = [context.vertex_ids(members) for members in member_lists]
+        return executor.score_groups(
+            list(id_lists),
+            functions,
+            graph_median_degree=median,
+            include_internal_adjacency=include_adjacency,
+        )
+    return score_stats_columns(
+        context,
+        member_lists,
+        functions,
+        graph_median_degree=median,
+        include_internal_adjacency=include_adjacency,
+    )
 
 
 def score_group(
     graph: Graph | DiGraph | AnalysisContext,
     members: Iterable[Node],
     functions: Sequence[ScoringFunction],
-    *,
-    graph_median_degree: float | None = None,
 ) -> dict[str, float]:
-    """Score one vertex set under ``functions`` (one adjacency sweep).
+    """Score one vertex set under ``functions``.
 
-    Accepts a raw graph (legacy dict sweep) or a frozen
-    :class:`~repro.engine.AnalysisContext` (CSR batch kernel).
+    A raw graph is frozen into an :class:`~repro.engine.AnalysisContext`
+    first; pass a context to score many single groups against one
+    freeze.
     """
-    if isinstance(graph, AnalysisContext):
-        if graph_median_degree is None and _needs(
-            functions, FractionOverMedianDegree
-        ):
-            graph_median_degree = graph.median_degree
-        stats = batch_group_stats(
-            graph,
-            [members],
-            graph_median_degree=graph_median_degree,
-            include_internal_adjacency=_needs(
-                functions, TriangleParticipationRatio
-            ),
-        )[0]
-    else:
-        stats = compute_group_stats(
-            graph, members, graph_median_degree=graph_median_degree
-        )
-    return {function.name: float(function(stats)) for function in functions}
+    context = AnalysisContext.ensure(graph)
+    _, matrix = score_member_lists(context, [members], functions)
+    return {
+        function.name: float(matrix[0, j])
+        for j, function in enumerate(functions)
+    }
 
 
 def score_groups(
@@ -222,13 +274,6 @@ def score_groups(
         functions = make_paper_functions()
     context = AnalysisContext.ensure(graph)
     with obs.span("scoring.score_groups"):
-        median = (
-            context.median_degree
-            if _needs(functions, FractionOverMedianDegree)
-            else None
-        )
-        include_adjacency = _needs(functions, TriangleParticipationRatio)
-
         names: list[str] = []
         sizes: list[int] = []
         member_lists: list[list[Node]] = []
@@ -254,7 +299,9 @@ def score_groups(
                 tokens=tokens,
                 group_names=names,
                 id_lists=id_lists,
-                include_internal_adjacency=include_adjacency,
+                include_internal_adjacency=stats_requirements(
+                    functions, context
+                )[1],
             )
             hit = store.load_score_table(key)
             if hit is not None:
@@ -271,31 +318,13 @@ def score_groups(
                 executor = ParallelExecutor(context, effective)
                 own_executor = True
         try:
-            if (
-                executor is not None
-                and executor.active
-                and tokens is not None
-                and member_lists
-            ):
-                if id_lists is None:
-                    id_lists = [
-                        context.vertex_ids(members)
-                        for members in member_lists
-                    ]
-                sizes, matrix = executor.score_groups(
-                    id_lists,
-                    functions,
-                    graph_median_degree=median,
-                    include_internal_adjacency=include_adjacency,
-                )
-            else:
-                sizes, matrix = score_stats_columns(
-                    context,
-                    member_lists,
-                    functions,
-                    graph_median_degree=median,
-                    include_internal_adjacency=include_adjacency,
-                )
+            sizes, matrix = score_member_lists(
+                context,
+                member_lists,
+                functions,
+                id_lists=id_lists,
+                executor=executor,
+            )
             columns = {
                 function.name: np.ascontiguousarray(matrix[:, j])
                 for j, function in enumerate(functions)

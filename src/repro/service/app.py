@@ -36,11 +36,11 @@ from repro.engine import ResultCache, function_tokens, query_key, resolve_jobs
 from repro.exceptions import EmptyGroupError, NodeNotFound
 from repro.obs import instruments
 from repro.scoring.base import ScoringFunction
-from repro.scoring.internal import TriangleParticipationRatio
 from repro.scoring.registry import (
     PAPER_FUNCTION_NAMES,
     ScoreTable,
     make_function,
+    stats_requirements,
 )
 from repro.service.batching import MicroBatcher
 from repro.service.http import (
@@ -467,9 +467,9 @@ class CircleService:
             tokens=tokens,
             group_names=names,
             id_lists=id_lists,
-            include_internal_adjacency=any(
-                isinstance(f, TriangleParticipationRatio) for f in functions
-            ),
+            include_internal_adjacency=stats_requirements(
+                functions, entry.context
+            )[1],
         )
         return _ScoredQuery(
             entry=entry,

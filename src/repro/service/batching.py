@@ -7,16 +7,15 @@ sees *many groups at once*.  The :class:`MicroBatcher` therefore queues
 requests per ``(dataset, functions)`` coalescing key, waits up to
 ``window`` seconds for siblings to arrive (flushing early at
 ``max_batch``), and runs the union of all pending groups through a
-single columnar :func:`~repro.scoring.columnar.score_stats_columns` /
-:meth:`~repro.engine.ParallelExecutor.score_groups` invocation.  Each
-request then receives exactly its own slice of the combined sizes and
-``(G, F)`` score matrix.
+single :func:`~repro.scoring.registry.score_member_lists` call — the
+same dispatcher :func:`~repro.scoring.registry.score_groups` uses.
+Each request then receives exactly its own slice of the combined sizes
+and ``(G, F)`` score matrix.
 
 Scoring runs on a worker thread (``loop.run_in_executor``) so the event
 loop keeps accepting connections while a batch computes.  Results are
 byte-identical to a serial :func:`repro.scoring.registry.score_groups`
-call because the serial/parallel split and the per-function evaluation
-mirror that code path exactly.
+call because both go through that one dispatcher.
 """
 
 from __future__ import annotations
@@ -30,57 +29,11 @@ import numpy as np
 from repro.engine import AnalysisContext, ParallelExecutor
 from repro.obs import instruments
 from repro.scoring.base import ScoringFunction
-from repro.scoring.columnar import score_stats_columns
-from repro.scoring.internal import (
-    FractionOverMedianDegree,
-    TriangleParticipationRatio,
-)
+from repro.scoring.registry import score_member_lists
 
 Node = Hashable
 
-__all__ = ["MicroBatcher", "ScoreRequest", "score_member_lists"]
-
-
-def score_member_lists(
-    context: AnalysisContext,
-    member_lists: Sequence[Sequence[Node]],
-    id_lists: Sequence[np.ndarray],
-    functions: Sequence[ScoringFunction],
-    executor: ParallelExecutor | None = None,
-) -> tuple[list[int], np.ndarray]:
-    """Score member lists exactly like ``score_groups`` would.
-
-    Returns per-group deduplicated sizes and the ``(G, F)`` float64
-    score matrix (one column per function, in function order).  The
-    serial path feeds *labels* to the shared columnar helper
-    (:func:`~repro.scoring.columnar.score_stats_columns`) and the
-    parallel path feeds *vertex ids* to the executor — the same split
-    :func:`repro.scoring.registry.score_groups` makes, which is what
-    keeps service responses byte-identical to CLI output.
-    """
-    median = (
-        context.median_degree
-        if any(isinstance(f, FractionOverMedianDegree) for f in functions)
-        else None
-    )
-    include_adjacency = any(
-        isinstance(f, TriangleParticipationRatio) for f in functions
-    )
-    if executor is not None and executor.active and member_lists:
-        sizes, rows = executor.score_groups(
-            list(id_lists),
-            functions,
-            graph_median_degree=median,
-            include_internal_adjacency=include_adjacency,
-        )
-        return sizes, rows
-    return score_stats_columns(
-        context,
-        member_lists,
-        functions,
-        graph_median_degree=median,
-        include_internal_adjacency=include_adjacency,
-    )
+__all__ = ["MicroBatcher", "ScoreRequest"]
 
 
 @dataclass
@@ -185,8 +138,8 @@ class MicroBatcher:
                 score_member_lists,
                 state.context,
                 member_lists,
-                id_lists,
                 state.functions,
+                id_lists,
                 state.executor,
             )
         except BaseException as exc:  # repro: noqa[REP006] - fan the failure out to every waiter

@@ -75,6 +75,30 @@ class TestGroupSet:
         groups.add(Community(name="d", members=frozenset({1})))
         assert len(groups) == 4
 
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda groups: groups,
+            lambda groups: groups.filter_by_size(minimum=1),
+            lambda groups: groups.top_k(2),
+        ],
+        ids=["constructor", "filter_by_size", "top_k"],
+    )
+    def test_add_rejects_duplicate_on_derived_sets(self, derive):
+        derived = derive(self._sample())
+        with pytest.raises(ValueError, match="duplicate"):
+            derived.add(Community(name="a", members=frozenset({1})))
+        derived.add(Community(name="z", members=frozenset({1})))
+        with pytest.raises(ValueError, match="duplicate"):
+            derived.add(Community(name="z", members=frozenset({2})))
+
+    def test_name_index_is_not_part_of_equality_or_repr(self):
+        grown = GroupSet(name="sample")
+        for group in self._sample():
+            grown.add(group)
+        assert grown == self._sample()
+        assert "_names" not in repr(grown)
+
     def test_sizes(self):
         assert self._sample().sizes() == [10, 4, 7]
 

@@ -650,31 +650,44 @@ _REP607_LOOP = """
         return rows
 """
 
+_REP607_FOR_LOOP = """
+    __all__ = ["score"]
+
+    def score(context, member_lists, functions):
+        rows = []
+        for stats in batch_group_stats(context, member_lists):
+            row = []
+            for function in functions:
+                row.append(function(stats))
+            rows.append(row)
+        return rows
+"""
+
+
+def _rep607_variants(source: str) -> list[str]:
+    """The loop over an object batch, and over a columnar batch's lazy
+    ``.rows()`` views (REP607's example_bad): both must fire."""
+    rows = source.replace(
+        "batch_group_stats(context, member_lists)",
+        "batch_group_stats_columns(context, member_lists).rows()",
+    )
+    assert rows != source
+    return [source, rows]
+
 
 def test_rep607_fires_on_scalar_loop_in_engine():
-    assert "REP607" in program_rule_ids({"repro.engine.fake": _REP607_LOOP})
+    for source in _rep607_variants(_REP607_LOOP):
+        assert "REP607" in program_rule_ids({"repro.engine.fake": source})
 
 
 def test_rep607_fires_on_scalar_loop_in_service():
-    assert "REP607" in program_rule_ids({"repro.service.fake": _REP607_LOOP})
+    for source in _rep607_variants(_REP607_LOOP):
+        assert "REP607" in program_rule_ids({"repro.service.fake": source})
 
 
 def test_rep607_fires_on_for_loop_variant():
-    sources = {
-        "repro.engine.fake": """
-            __all__ = ["score"]
-
-            def score(context, member_lists, functions):
-                rows = []
-                for stats in batch_group_stats(context, member_lists):
-                    row = []
-                    for function in functions:
-                        row.append(function(stats))
-                    rows.append(row)
-                return rows
-        """
-    }
-    assert "REP607" in program_rule_ids(sources)
+    for source in _rep607_variants(_REP607_FOR_LOOP):
+        assert "REP607" in program_rule_ids({"repro.engine.fake": source})
 
 
 def test_rep607_quiet_outside_engine_and_service():

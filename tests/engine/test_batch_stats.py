@@ -1,11 +1,14 @@
-"""Engine batch stats vs the legacy per-group oracle.
+"""Engine batch stats vs the per-group oracle.
 
 The engine's acceptance bar is *bit-identical* agreement with
 :func:`repro.scoring.base.compute_group_stats` — same counts, same
 arrays, same error types — on arbitrary graphs including the edge cases
 (singleton groups, the whole graph as one group, duplicate members).
+Each group of a :func:`batch_group_stats_columns` batch is compared
+through ``GroupStatsBatch.row(i)``.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -13,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import AnalysisContext, batch_group_stats, group_stats
+from repro.engine import AnalysisContext, batch_group_stats_columns
 from repro.exceptions import EmptyGroupError, NodeNotFound
 from repro.graph.digraph import DiGraph
 from repro.graph.ugraph import Graph
 from repro.scoring.base import compute_group_stats
+from repro.scoring.columnar import score_matrix
+from repro.scoring.registry import make_paper_functions
+from repro.synth.paper_datasets import GOOGLE_PLUS_CONFIG, build_google_plus
 
 
 @st.composite
@@ -50,6 +56,11 @@ def graph_and_groups(draw, directed):
     return graph, groups
 
 
+def group_stats(context, members, **kwargs):
+    """One group's stats through the columnar batch."""
+    return batch_group_stats_columns(context, [members], **kwargs).row(0)
+
+
 def assert_stats_identical(got, want):
     assert got.members == want.members
     assert got.n == want.n
@@ -77,25 +88,63 @@ def assert_stats_identical(got, want):
         assert np.array_equal(left, right)
 
 
-@pytest.mark.parametrize("strategy", ["pairs", "gather"])
-@pytest.mark.parametrize("directed", [False, True])
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_engine_matches_legacy_oracle(directed, strategy, data):
-    graph, groups = data.draw(graph_and_groups(directed))
+def assert_batch_matches_oracle(graph, groups, strategy):
     context = AnalysisContext(graph)
     median = context.median_degree
-    batch = batch_group_stats(
+    batch = batch_group_stats_columns(
         context,
         groups,
         graph_median_degree=median,
         include_internal_adjacency=True,
         strategy=strategy,
     )
-    assert len(batch) == len(groups)
-    for members, got in zip(groups, batch):
-        want = compute_group_stats(graph, members, graph_median_degree=median)
-        assert_stats_identical(got, want)
+    oracle = [
+        compute_group_stats(graph, members, graph_median_degree=median)
+        for members in groups
+    ]
+    assert len(batch) == len(oracle)
+    for i, want in enumerate(oracle):
+        assert_stats_identical(batch.row(i), want)
+    return batch, oracle
+
+
+@pytest.mark.parametrize("strategy", ["pairs", "gather"])
+@pytest.mark.parametrize("directed", [False, True])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_engine_matches_legacy_oracle(directed, strategy, data):
+    graph, groups = data.draw(graph_and_groups(directed))
+    assert_batch_matches_oracle(graph, groups, strategy)
+
+
+@pytest.fixture(scope="module")
+def google_plus_egos():
+    """The 8-ego synthetic Google+ corpus, circles of two or more."""
+    dataset = build_google_plus(
+        config=dataclasses.replace(GOOGLE_PLUS_CONFIG, num_egos=8)
+    )
+    groups = [
+        list(group.members)
+        for group in dataset.groups.filter_by_size(minimum=2)
+    ]
+    return dataset.graph, groups
+
+
+@pytest.mark.parametrize("strategy", ["auto", "pairs", "gather"])
+def test_engine_matches_legacy_oracle_on_google_plus(
+    google_plus_egos, strategy
+):
+    # The paper's corpus shape: many small circles on one directed graph.
+    # Stats match row by row, and the columnar paper-function scores match
+    # the scalar functions applied to the oracle's stats bit for bit.
+    graph, groups = google_plus_egos
+    batch, oracle = assert_batch_matches_oracle(graph, groups, strategy)
+    functions = make_paper_functions()
+    want = np.array(
+        [[float(function(stats)) for function in functions] for stats in oracle],
+        dtype=np.float64,
+    )
+    assert score_matrix(functions, batch).tobytes() == want.tobytes()
 
 
 class TestBatchSemantics:
@@ -108,18 +157,18 @@ class TestBatchSemantics:
     def test_empty_group_raises(self, triangle_graph):
         context = AnalysisContext(triangle_graph)
         with pytest.raises(EmptyGroupError):
-            batch_group_stats(context, [[]])
+            batch_group_stats_columns(context, [[]])
 
     def test_missing_member_raises(self, triangle_graph):
         context = AnalysisContext(triangle_graph)
         with pytest.raises(NodeNotFound):
-            batch_group_stats(context, [[1, 999]])
+            batch_group_stats_columns(context, [[1, 999]])
 
     def test_mask_reset_after_error(self, triangle_graph):
         # A failed group must not leak membership into later batches.
         context = AnalysisContext(triangle_graph)
         with pytest.raises(NodeNotFound):
-            batch_group_stats(context, [[1, 2], [999]])
+            batch_group_stats_columns(context, [[1, 2], [999]])
         stats = group_stats(context, [3, 4])
         want = compute_group_stats(triangle_graph, [3, 4])
         assert stats.m_C == want.m_C

@@ -3,8 +3,8 @@
 The oracle is the legacy path: mutate a copy of the dict graph and
 freeze it from scratch. A patched context must be indistinguishable
 from that — same fingerprint, degrees, median and edge count — and
-`rescore_groups` must return stats byte-identical to a full batch pass
-while invoking the kernel only for dirty groups.
+`rescore_groups_columns` must return a batch byte-identical to a full
+columnar pass while invoking the kernel only for dirty groups.
 """
 
 import random
@@ -19,10 +19,9 @@ from repro.data import Community, GroupSet, VertexGroup
 from repro.engine import (
     AnalysisContext,
     ContextDelta,
-    batch_group_stats,
     batch_group_stats_columns,
 )
-from repro.engine.delta import rescore_groups, rescore_groups_columns
+from repro.engine.delta import rescore_groups_columns
 from repro.scoring.columnar import GroupStatsBatch, score_matrix
 from repro.scoring.internal import TriangleParticipationRatio
 from repro.scoring.registry import make_all_functions
@@ -97,57 +96,65 @@ def community_fixture(small_community_dataset):
     return context, groups
 
 
+def delta_for(context, groups):
+    """Remove one edge incident to the first group's lowest member."""
+    members = sorted(groups[0].members)
+    u = members[0]
+    row = context.csr.neighbors(context.index_of[u])
+    v = context.csr.nodes[int(row[0])]
+    return ContextDelta(remove_edges=((u, v),))
+
+
+def groups_scored_by(run):
+    """Run ``run()`` under an enabled tracer; return its result and how
+    many groups the batch kernel processed."""
+    obs.enable(name="delta-kernel")
+    try:
+        before = GROUPS_SCORED.value()
+        result = run()
+        scored = GROUPS_SCORED.value() - before
+    finally:
+        obs.disable()
+    return result, scored
+
+
 class TestRescoreGroups:
-    def delta_for(self, context, groups):
-        """Remove one edge incident to the first group's lowest member."""
-        members = sorted(groups[0].members)
-        u = members[0]
-        row = context.csr.neighbors(context.index_of[u])
-        v = context.csr.nodes[int(row[0])]
-        return ContextDelta(remove_edges=((u, v),))
+    """The delta rescore, seen group by group through ``batch.row(i)``."""
 
     def test_identical_to_full_pass_and_kernel_skips_clean_groups(
         self, community_fixture
     ):
         context, groups = community_fixture
-        delta = self.delta_for(context, groups)
-        median = context.median_degree
+        delta = delta_for(context, groups)
         member_lists = [list(group.members) for group in groups]
-        baseline = {
-            group.name: stats
-            for group, stats in zip(
-                groups,
-                batch_group_stats(
-                    context, member_lists, graph_median_degree=median
-                ),
-            )
-        }
+        baseline = batch_group_stats_columns(
+            context, member_lists, graph_median_degree=context.median_degree
+        )
 
         patched = delta.apply(context)
         dirty = delta.dirty_names(groups)
         assert dirty  # the removed edge touches at least one group
         assert len(dirty) < len(groups)  # and leaves others clean
 
-        obs.enable(name="delta-kernel")
-        try:
-            before = GROUPS_SCORED.value()
-            got = rescore_groups(
+        got, scored = groups_scored_by(
+            lambda: rescore_groups_columns(
                 patched,
                 groups,
                 baseline,
+                [group.name for group in groups],
                 dirty,
                 graph_median_degree=patched.median_degree,
             )
-            scored = GROUPS_SCORED.value() - before
-        finally:
-            obs.disable()
+        )
+        # Only the dirty groups reach the kernel; clean ones are spliced.
         assert scored == len(dirty)
 
-        want = batch_group_stats(
+        want = batch_group_stats_columns(
             patched, member_lists, graph_median_degree=patched.median_degree
         )
-        for group, oracle in zip(groups, want):
-            stats = got[group.name]
+        assert len(got) == len(want) == len(groups)
+        for i in range(len(groups)):
+            stats, oracle = got.row(i), want.row(i)
             assert stats.members == oracle.members
             assert stats.n == oracle.n
             assert stats.m == oracle.m
@@ -170,14 +177,26 @@ class TestRescoreGroups:
         self, community_fixture
     ):
         context, groups = community_fixture
-        got = rescore_groups(
-            context,
-            groups,
-            previous={},
-            dirty=frozenset(),
+        empty = GroupStatsBatch.empty(
+            n=context.num_vertices,
+            m=context.num_edges,
+            directed=context.is_directed,
             graph_median_degree=context.median_degree,
         )
-        assert set(got) == {group.name for group in groups}
+        got, scored = groups_scored_by(
+            lambda: rescore_groups_columns(
+                context,
+                groups,
+                empty,
+                previous_names=[],
+                dirty=frozenset(),
+                graph_median_degree=context.median_degree,
+            )
+        )
+        assert scored == len(groups)
+        assert len(got) == len(groups)
+        for stats, group in zip(got.rows(), groups):
+            assert set(stats.members) == set(group.members)
 
 
 def assert_batches_bitwise_identical(got, want):
@@ -218,7 +237,7 @@ class TestRescoreGroupsColumns:
         self, community_fixture, include_adjacency
     ):
         context, groups = community_fixture
-        delta = TestRescoreGroups().delta_for(context, groups)
+        delta = delta_for(context, groups)
         member_lists = [list(group.members) for group in groups]
         baseline = batch_group_stats_columns(
             context,

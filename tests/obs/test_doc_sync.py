@@ -5,7 +5,10 @@ Two contracts:
 * every metric in the live registry has a row in the
   ``docs/OBSERVABILITY.md`` catalogue table (and no stale rows linger);
 * every lint rule in ``ALL_RULES`` (plus the REP000 meta diagnostic) has
-  a row in the ``docs/LINTING.md`` catalogue table, and vice versa.
+  a row in the ``docs/LINTING.md`` catalogue table, and vice versa;
+* every place that quotes the rule-id range (``repro lint`` help,
+  ``python -m repro.devtools.lint --help``, ``docs/README.md``) quotes
+  the first and last registered ids.
 """
 
 from __future__ import annotations
@@ -13,8 +16,12 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import pytest
+
 from repro import obs
+from repro.cli import build_parser
 from repro.devtools.lint import ALL_RULES
+from repro.devtools.lint import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -85,3 +92,22 @@ def test_linting_doc_describes_memory_contracts():
     assert "## Memory contracts" in doc
     for token in ("@bounded_memory", "@audited_in_ram", "O(chunk + n)"):
         assert token in doc, f"memory-contracts section lost {token!r}"
+
+
+def _rule_id_bounds() -> tuple[str, str]:
+    ids = sorted(rule.id for rule in ALL_RULES)
+    return ids[0], ids[-1]
+
+
+def test_rule_id_range_quoted_everywhere(capsys):
+    first, last = _rule_id_bounds()
+
+    cli_help = build_parser().format_help()
+    assert f"(rules {first}-{last})" in cli_help
+
+    with pytest.raises(SystemExit):
+        lint_main(["--help"])
+    assert f"(rules {first}-{last})" in capsys.readouterr().out
+
+    index = (REPO_ROOT / "docs" / "README.md").read_text(encoding="utf-8")
+    assert f"rule catalogue {first}–{last}" in index

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.groups import Community, GroupSet, VertexGroup
+from repro.engine import AnalysisContext
 from repro.scoring.registry import (
     PAPER_FUNCTION_NAMES,
     make_all_functions,
@@ -11,6 +12,8 @@ from repro.scoring.registry import (
     make_paper_functions,
     score_group,
     score_groups,
+    score_member_lists,
+    stats_requirements,
 )
 
 
@@ -41,6 +44,90 @@ class TestScoreGroup:
         assert set(scores) == set(PAPER_FUNCTION_NAMES)
         assert scores["average_degree"] == pytest.approx(3.0)
         assert scores["conductance"] == pytest.approx(1 / 13)
+
+
+class _RecordingExecutor:
+    """Stands in for an active ParallelExecutor; records what it is fed."""
+
+    active = True
+
+    def __init__(self):
+        self.calls = []
+
+    def score_groups(self, id_lists, functions, **requirements):
+        self.calls.append((id_lists, requirements))
+        return [len(ids) for ids in id_lists], np.zeros(
+            (len(id_lists), len(functions))
+        )
+
+
+class _StatefulFunction:
+    """A scoring function with non-scalar state (no cache token)."""
+
+    name = "stateful"
+
+    def __init__(self):
+        self.weights = [1.0]
+
+    def __call__(self, stats):
+        return float(stats.n_C)
+
+
+class TestDispatcher:
+    def test_stats_requirements(self, two_cliques_graph):
+        context = AnalysisContext(two_cliques_graph)
+        assert stats_requirements(make_paper_functions(), context) == (
+            None,
+            False,
+        )
+        assert stats_requirements(make_all_functions(), context) == (
+            context.median_degree,
+            True,
+        )
+
+    def test_serial_without_executor(self, two_cliques_graph):
+        context = AnalysisContext(two_cliques_graph)
+        functions = make_all_functions()
+        sizes, matrix = score_member_lists(
+            context, [[0, 1, 2, 3], [3, 4, 4]], functions
+        )
+        assert sizes == [4, 2]
+        assert matrix.shape == (2, len(functions))
+        single = score_group(context, [3, 4, 4], functions)
+        assert [single[f.name] for f in functions] == matrix[1].tolist()
+
+    def test_active_executor_gets_vertex_ids_and_requirements(
+        self, two_cliques_graph
+    ):
+        context = AnalysisContext(two_cliques_graph)
+        executor = _RecordingExecutor()
+        score_member_lists(
+            context, [[0, 1], [6, 7]], make_all_functions(), executor=executor
+        )
+        ((id_lists, requirements),) = executor.calls
+        assert [ids.tolist() for ids in id_lists] == [
+            context.vertex_ids([0, 1]).tolist(),
+            context.vertex_ids([6, 7]).tolist(),
+        ]
+        assert requirements == {
+            "graph_median_degree": context.median_degree,
+            "include_internal_adjacency": True,
+        }
+
+    def test_untokenizable_functions_and_empty_batches_stay_serial(
+        self, two_cliques_graph
+    ):
+        context = AnalysisContext(two_cliques_graph)
+        executor = _RecordingExecutor()
+        sizes, matrix = score_member_lists(
+            context, [[0, 1, 2]], [_StatefulFunction()], executor=executor
+        )
+        assert matrix.tolist() == [[3.0]]
+        sizes, matrix = score_member_lists(
+            context, [], make_paper_functions(), executor=executor
+        )
+        assert sizes == [] and matrix.shape == (0, 4)
+        assert executor.calls == []
 
 
 class TestScoreGroups:

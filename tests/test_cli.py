@@ -240,6 +240,20 @@ class TestTrace:
         assert out_path.with_suffix(".manifest.json").exists()
         assert "trace written to" in capsys.readouterr().err
 
+    def test_inner_trace_out_wins_under_trace(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        out_path = tmp_path / "inner.jsonl"
+        code = cli.main(
+            ["trace", "score", "google_plus", "--trace-out", str(out_path)]
+        )
+        assert code == 0
+        assert out_path.exists()
+        assert out_path.with_suffix(".manifest.json").exists()
+        assert not (tmp_path / "trace.jsonl").exists()
+        assert f"trace written to {out_path}" in capsys.readouterr().err
+
     def test_dataset_aliases_resolve(self, capsys):
         assert cli.main(["score", "--dataset", "gplus-synth"]) == 0
         assert "Separation summary" in capsys.readouterr().out

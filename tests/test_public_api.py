@@ -29,6 +29,16 @@ class TestPublicSurface:
     def test_version_present(self):
         assert repro.__version__.count(".") == 2
 
+    def test_engine_exports_one_group_stats_path(self):
+        import repro.engine
+
+        for name in repro.engine.__all__:
+            assert hasattr(repro.engine, name), name
+        assert "batch_group_stats_columns" in repro.engine.__all__
+        assert "rescore_groups_columns" in repro.engine.__all__
+        for removed in ("batch_group_stats", "group_stats", "rescore_groups"):
+            assert not hasattr(repro.engine, removed), removed
+
     def test_subpackages_importable(self):
         for module in (
             "repro.graph",
@@ -42,6 +52,8 @@ class TestPublicSurface:
             "repro.analysis",
             "repro.detection",
             "repro.graph.io",
+            "repro.engine",
+            "repro.service",
         ):
             importlib.import_module(module)
 
